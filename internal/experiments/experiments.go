@@ -56,7 +56,7 @@ var (
 	mAllocMisses = obs.GetCounter("casa_alloc_memo_misses_total")
 	// mConflictIncremental counts conflict graphs rebased onto a donor
 	// cell's vertex layer instead of being built from scratch
-	// (prepareProgram; gated on CASA_INCREMENTAL by the suite).
+	// (prepareProgram, with a donor chosen by the suite).
 	mConflictIncremental = obs.GetCounter("casa_conflict_incremental_total")
 )
 
@@ -131,8 +131,7 @@ type Pipeline struct {
 	// known-feasible objective value (a cutoff, see ilp.Options.Cutoff).
 	// Callers that keep their own cross-pipeline warm stores — the
 	// serving daemon — fill it before the first RunCASA; pipelines owned
-	// by a Suite ignore it in favor of the suite's warm planner. Ignored
-	// when CASA_INCREMENTAL is off.
+	// by a Suite ignore it in favor of the suite's warm planner.
 	WarmCutoff *float64
 
 	// WarmHot optionally carries a donor solve's transferable basis and
@@ -365,7 +364,7 @@ func (p *Pipeline) CASAAllocation(ctx context.Context) (*core.Allocation, error)
 		defer sp.End()
 		sp.SetAttr("workload", p.Workload)
 		params := p.casaParams()
-		if p.suite != nil && ilp.IncrementalEnabled() {
+		if p.suite != nil {
 			// Cross-cell warm start: seed the solve with the tightest
 			// cutoff transferable from a solved neighboring cell, plus —
 			// when a partition-matching donor exists — that donor's simplex
@@ -379,7 +378,7 @@ func (p *Pipeline) CASAAllocation(ctx context.Context) (*core.Allocation, error)
 			} else {
 				mWarmCellMisses.Inc()
 			}
-		} else if p.WarmCutoff != nil && ilp.IncrementalEnabled() {
+		} else if p.WarmCutoff != nil {
 			params.Solver.Cutoff = p.WarmCutoff
 			params.Solver.HotStart = p.WarmHot
 			sp.SetAttr("warm_cutoff", *p.WarmCutoff)
@@ -387,7 +386,7 @@ func (p *Pipeline) CASAAllocation(ctx context.Context) (*core.Allocation, error)
 		e.alloc, e.err = core.Allocate(actx, p.Set, p.Graph, params)
 		if e.err != nil {
 			e.err = fmt.Errorf("experiments: casa %s/%d: %w", p.Workload, p.SPMSize, e.err)
-		} else if p.suite != nil && ilp.IncrementalEnabled() {
+		} else if p.suite != nil {
 			p.suite.recordWarm(p, e.alloc)
 		}
 	})
@@ -690,11 +689,7 @@ func (s *Suite) Pipeline(ctx context.Context, name string, cacheSpec CacheSpec, 
 			return
 		}
 		gk := graphKey{name: name, spmSize: spmSize, lineBytes: cacheSpec.Line}
-		var donor *conflict.Graph
-		if ilp.IncrementalEnabled() {
-			donor = s.graphDonor(gk)
-		}
-		e.p, e.err = prepareProgram(ctx, prog, cacheSpec, spmSize, donor)
+		e.p, e.err = prepareProgram(ctx, prog, cacheSpec, spmSize, s.graphDonor(gk))
 		if e.err == nil {
 			e.p.SolveBudget = s.SolveBudget()
 			e.p.Session = s.session

@@ -1,42 +1,23 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
-// renderWarmSensitiveStudies renders the two grids the warm planner
-// reorders most aggressively — fig4 (scratchpad sweep) and sensitivity
-// (cache-organization sweep) — with only allocation-determined fields.
-func renderWarmSensitiveStudies(t *testing.T, s *Suite) []byte {
-	t.Helper()
-	ctx := context.Background()
-	var buf bytes.Buffer
-	fig4cfg := DefaultFig4()
-	fig4, err := Fig4(ctx, s, fig4cfg)
-	if err != nil {
-		t.Fatalf("Fig4: %v", err)
-	}
-	WriteFig4(&buf, fig4cfg, fig4)
-	senscfg := DefaultSensitivity()
-	sens, err := Sensitivity(ctx, s, senscfg)
-	if err != nil {
-		t.Fatalf("Sensitivity: %v", err)
-	}
-	WriteSensitivity(&buf, senscfg, sens)
-	return buf.Bytes()
-}
-
 // TestWarmMatchesColdStudies is the central exactness contract of the
-// incremental machinery: the warm path (cross-cell cutoffs, shared
-// presolve session, rebased conflict graphs, factored LP engine) must
-// produce byte-identical study output to the legacy cold path
-// (CASA_INCREMENTAL=off, which restores the pre-incremental code
-// paths bit for bit).
+// incremental machinery: every fig4 and sensitivity cell of a suite run
+// (cross-cell cutoffs, transferred bases and pseudocosts, shared
+// presolve session, rebased conflict graphs) selects the same traces
+// and reaches the same energy as that cell prepared standalone. A
+// standalone pipeline has no suite, so it gets no cutoff, basis,
+// session or graph donor: it solves cold.
 func TestWarmMatchesColdStudies(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full warm-vs-cold sweep is too heavy under the race detector")
@@ -44,12 +25,62 @@ func TestWarmMatchesColdStudies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warm-vs-cold sweep skipped in -short mode")
 	}
-	t.Setenv("CASA_INCREMENTAL", "off")
-	cold := renderWarmSensitiveStudies(t, NewSuite().SetWorkers(1))
-	t.Setenv("CASA_INCREMENTAL", "on")
-	warm := renderWarmSensitiveStudies(t, NewSuite().SetWorkers(1))
-	if !bytes.Equal(warm, cold) {
-		t.Fatalf("warm studies diverged from cold studies.\n--- warm ---\n%s\n--- cold ---\n%s", warm, cold)
+	ctx := context.Background()
+	s := NewSuite().SetWorkers(1)
+	hits := obs.GetCounter("casa_ilp_warm_cell_hits_total")
+	hitsBefore := hits.Value()
+	type cell struct {
+		workload string
+		cache    CacheSpec
+		spm      int
+	}
+	var cells []cell
+	fig4cfg := DefaultFig4()
+	if _, err := Fig4(ctx, s, fig4cfg); err != nil {
+		t.Fatalf("Fig4: %v", err)
+	}
+	for _, size := range fig4cfg.SPMSizes {
+		cells = append(cells, cell{fig4cfg.Workload, fig4cfg.Cache, size})
+	}
+	senscfg := DefaultSensitivity()
+	if _, err := Sensitivity(ctx, s, senscfg); err != nil {
+		t.Fatalf("Sensitivity: %v", err)
+	}
+	for _, spec := range senscfg.Variants {
+		cells = append(cells, cell{senscfg.Workload, spec, senscfg.SPMSize})
+	}
+	if hits.Value() == hitsBefore {
+		t.Fatal("suite run solved no cell warm; the comparison would be cold against cold")
+	}
+
+	for _, c := range cells {
+		name := fmt.Sprintf("%s cache=%+v spm=%d", c.workload, c.cache, c.spm)
+		warmP, err := s.Pipeline(ctx, c.workload, c.cache, c.spm)
+		if err != nil {
+			t.Fatalf("%s: suite pipeline: %v", name, err)
+		}
+		coldP, err := Prepare(ctx, c.workload, c.cache, c.spm)
+		if err != nil {
+			t.Fatalf("%s: standalone pipeline: %v", name, err)
+		}
+		var allocs [2]*core.Allocation
+		var energy [2]float64
+		for i, p := range []*Pipeline{warmP, coldP} {
+			if allocs[i], err = p.CASAAllocation(ctx); err != nil {
+				t.Fatalf("%s: allocation: %v", name, err)
+			}
+			out, err := p.RunCASA(ctx)
+			if err != nil {
+				t.Fatalf("%s: RunCASA: %v", name, err)
+			}
+			energy[i] = out.EnergyMicroJ
+		}
+		if !slices.Equal(allocs[0].InSPM, allocs[1].InSPM) {
+			t.Errorf("%s: warm selection %v, cold %v", name, allocs[0].InSPM, allocs[1].InSPM)
+		}
+		if energy[0] != energy[1] {
+			t.Errorf("%s: warm energy %v µJ, cold %v µJ", name, energy[0], energy[1])
+		}
 	}
 }
 

@@ -33,10 +33,6 @@ import (
 // cutoffs never change results, only casa_ilp_warm_cell_{hits,misses}
 // counters vary; run a study with one worker for deterministic
 // counters.
-//
-// Everything is gated behind CASA_INCREMENTAL (ilp.IncrementalEnabled):
-// off means no cutoffs, no presolve session and no warm counters — the
-// path bit-identical to earlier releases.
 
 // mWarmCellMisses counts CASA cell solves that ran cold because no
 // solved neighboring cell was available to donate a cutoff. Its twin

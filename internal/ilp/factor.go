@@ -2,15 +2,28 @@ package ilp
 
 import "math"
 
-// Factored-basis revised dual simplex — the incremental-mode node
-// engine. Same algorithm as rsx (basis.go): persistent basis across the
-// branch & bound tree, bound-flip dual repair, bounded dual ratio test.
-// What changes is the representation of the basis inverse.
+// Factored-basis bounded-variable revised dual simplex: the node LP
+// engine of branch & bound.
 //
-// rsx keeps B⁻¹ as a dense m×m matrix and pays O(m²) per pivot to
-// update it (plus O(m²) computeXB). In the CASA formulation almost all
-// basic columns are singletons — slacks and linearization L's touch one
-// row each — so the basis is, up to permutation, block upper triangular
+// The branch & bound loop changes nothing but variable bounds between
+// node LPs. Dual feasibility of a basis does not depend on bounds at
+// all, so one engine instance — basis, factorization and reduced costs
+// — persists across the whole tree: after a bound change the previous
+// optimal basis is still dual feasible and typically a handful of dual
+// pivots away from the new optimum, even when best-bound search jumps to
+// a distant part of the tree. Wrong-sign reduced costs are repaired by
+// bound flips, and the dual ratio test is bounded. The dense two-phase
+// tableau (simplex.go) remains SolveLP's engine and the per-node
+// fallback.
+//
+// Standard form: min cᵀx s.t. Ax + s = b, with one slack per row
+// (LE: s ∈ [0,∞), GE: s ∈ (−∞,0], EQ: s ∈ [0,0]) and every structural
+// column boxed on the side its reduced cost demands. Columns are stored
+// sparse.
+//
+// In the CASA formulation almost all basic columns are singletons —
+// slacks and linearization L's touch one row each — so the basis is, up
+// to permutation, block upper triangular
 //
 //	P·B·Q = [ U  F ]   U: triangular, from peeled singleton columns
 //	        [ 0  G ]   G: dense k×k "bump" of the rest (k ≪ m)
@@ -33,10 +46,28 @@ import "math"
 // node cannot beat the known cutoff and solve returns stObjLimit
 // immediately, mid-LP.
 
+// Nonbasic/basic column states.
+const (
+	nbLower int8 = iota // nonbasic at lower bound
+	nbUpper             // nonbasic at upper bound
+	inBasis
+)
+
+// spCol is a sparse constraint-matrix column.
+type spCol struct {
+	rows []int32
+	vals []float64
+}
+
 const (
 	// fsxRefactorEvery bounds the eta file: beyond this, the O(t·m)
 	// transform cost outgrows the O(k³) refactorization it avoids.
 	fsxRefactorEvery = 64
+	// pivTol is the minimum |alpha| for a column to be an entering
+	// candidate; smaller pivots are numerically meaningless.
+	pivTol = 1e-7
+	// dualTol is the reduced-cost feasibility tolerance.
+	dualTol = 1e-7
 )
 
 // etaRec is one product-form update: the FTRAN'd entering column (held
@@ -90,14 +121,16 @@ type fsx struct {
 	costed []int32 // columns with c != 0, for objective evaluation
 
 	objLimit     float64
+	maxIter      int // pivot cap per solve; beyond it solve reports Aborted
 	iters        int // lifetime pivot count
 	sinceRefresh int
 	tol          float64
 }
 
-// newFSX builds the factored engine for md, or returns nil when some
-// column cannot be placed dual-feasibly at a finite bound (same
-// condition as newRSX; such models take the dense path).
+// newFSX builds the engine for md, or returns nil when some column
+// cannot be placed dual-feasibly at a finite bound (free variables, or
+// an infinite bound on the side the objective pulls toward); such
+// models take the dense path instead.
 func newFSX(md *Model, tol float64) *fsx {
 	if tol <= 0 {
 		tol = defaultTol
@@ -129,6 +162,7 @@ func newFSX(md *Model, tol float64) *fsx {
 		bs:    make([]float64, m),
 
 		objLimit: math.Inf(1),
+		maxIter:  2000 + 50*tot,
 		tol:      tol,
 	}
 	sign := 1.0
@@ -141,6 +175,8 @@ func newFSX(md *Model, tol float64) *fsx {
 	copy(e.lo, md.lo)
 	copy(e.hi, md.hi)
 
+	// Assemble sparse columns row by row, merging duplicate variable
+	// references within a row.
 	tmp := make([]float64, n)
 	var touched []int
 	for i, con := range md.cons {
@@ -180,11 +216,6 @@ func newFSX(md *Model, tol float64) *fsx {
 	}
 	return e
 }
-
-// nodeEngine interface.
-func (e *fsx) iterCount() int        { return e.iters }
-func (e *fsx) dims() (n, m int)      { return e.n, e.m }
-func (e *fsx) setObjLimit(z float64) { e.objLimit = z }
 
 // factorStats reports the current factorization shape for diagnostics:
 // peeled singleton columns, dense bump dimension, and eta-file depth
@@ -421,8 +452,9 @@ func (e *fsx) failInstall() bool {
 	return false
 }
 
-// reset installs the all-slack basis (placement rules identical to
-// rsx.reset) and the trivial factorization. Reports false when a
+// reset installs the all-slack basis and the trivial factorization,
+// placing each structural column dual-feasibly: at its lower bound when
+// the cost pulls down, upper when it pulls up. Reports false when a
 // required bound is infinite.
 func (e *fsx) reset() bool {
 	for j := 0; j < e.n; j++ {
@@ -894,9 +926,12 @@ func (e *fsx) objValue() float64 {
 	return z
 }
 
-// solve re-optimizes after a bound change; identical contract to
-// rsx.solve, plus the objective-limit early stop.
-func (e *fsx) solve(maxIter int) Status {
+// solve re-optimizes after a bound change: restore dual feasibility by
+// bound-flipping any nonbasic column whose reduced cost now has the
+// wrong sign (possible when a branch fixing is relaxed again on a jump
+// to another part of the tree), recompute basic values, then run dual
+// simplex until primal feasible or past the objective limit.
+func (e *fsx) solve() Status {
 	for j := 0; j < e.n; j++ {
 		if e.status[j] == inBasis || e.hi[j]-e.lo[j] < 1e-9 {
 			continue
@@ -920,17 +955,19 @@ func (e *fsx) solve(maxIter int) Status {
 		}
 	}
 	e.computeXB()
-	return e.reoptimize(maxIter)
+	return e.reoptimize()
 }
 
-// reoptimize runs the dual simplex loop; the linear algebra goes through
-// the factored basis, everything else mirrors rsx.reoptimize.
-func (e *fsx) reoptimize(maxIter int) Status {
+// reoptimize runs the dual simplex loop: pick the most-violated basic
+// variable, choose the entering column by the bounded dual ratio test,
+// pivot. Ties switch to Bland's rule after enough iterations to rule
+// out cycling; maxIter aborts to the dense fallback.
+func (e *fsx) reoptimize() Status {
 	m, tot := e.m, e.n+e.m
 	blandAfter := 200 + 2*m
 	limited := !math.IsInf(e.objLimit, 1)
 	for it := 0; ; it++ {
-		if it > maxIter {
+		if it > e.maxIter {
 			return Aborted
 		}
 		if limited && e.objValue() > e.objLimit {
@@ -973,7 +1010,7 @@ func (e *fsx) reoptimize(maxIter int) Status {
 			e.alpha[j] = s
 		}
 
-		// Bounded dual ratio test, identical to rsx.
+		// Bounded dual ratio test.
 		q, bestRatio, bestAbs := -1, math.Inf(1), 0.0
 		for j := 0; j < tot; j++ {
 			if e.status[j] == inBasis || e.hi[j]-e.lo[j] < 1e-9 {
@@ -1032,7 +1069,7 @@ func (e *fsx) reoptimize(maxIter int) Status {
 		}
 		e.xB[r] = e.nbValue(q) + step
 
-		// Incremental dual update, identical to rsx.
+		// Incremental dual update.
 		theta := e.d[q] / (sgn * piv)
 		if theta < 0 {
 			theta = 0

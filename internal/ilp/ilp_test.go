@@ -174,6 +174,30 @@ func TestLPFreeVariable(t *testing.T) {
 	}
 }
 
+func TestLPUpperBoundWithoutLowerBound(t *testing.T) {
+	// min x st 2x >= 3 with x in (-inf, 1]: infeasible; in (-inf, 4]
+	// with max x: optimum 4.
+	m := NewModel()
+	x := m.AddVar("x", Continuous, math.Inf(-1), 1)
+	m.AddConstraint("c", Expr(2, x), GE, 3)
+	m.SetObjective(Expr(1, x), Minimize)
+	sol, err := SolveLP(context.Background(), m, Options{})
+	if err != nil {
+		t.Fatalf("SolveLP: %v", err)
+	}
+	if sol.Status != Infeasible {
+		t.Fatalf("got %v x=%v, want infeasible", sol.Status, sol.X)
+	}
+	m.SetBounds(x, math.Inf(-1), 4)
+	m.SetObjective(Expr(1, x), Maximize)
+	if sol, err = SolveLP(context.Background(), m, Options{}); err != nil {
+		t.Fatalf("SolveLP: %v", err)
+	}
+	if sol.Status != Optimal || !almostEq(sol.Value(x), 4) {
+		t.Fatalf("got %v x=%v, want 4", sol.Status, sol.X)
+	}
+}
+
 func TestLPNegativeLowerBounds(t *testing.T) {
 	// min x + y with x in [-5,5], y in [-3, 3], x + y >= -6 -> x=-5, y=-1? No:
 	// both want to go low; constraint binds at -6: obj=-6 (any split).

@@ -53,44 +53,36 @@ func randBinaryModel(r *testRNG) *Model {
 	return m
 }
 
-func TestIncrementalEnabled(t *testing.T) {
-	for _, tc := range []struct {
-		val  string
-		want bool
-	}{
-		{"", true}, {"on", true}, {"1", true}, {"yes", true},
-		{"off", false}, {"OFF", false}, {"0", false}, {"false", false}, {"False", false},
-	} {
-		t.Setenv("CASA_INCREMENTAL", tc.val)
-		if got := IncrementalEnabled(); got != tc.want {
-			t.Errorf("CASA_INCREMENTAL=%q: enabled = %v, want %v", tc.val, got, tc.want)
-		}
-	}
-}
-
-// TestEngineParityRandomized cross-validates the factored engine (fsx,
-// incremental on) against the legacy dense-inverse engine (rsx,
-// incremental off) on random binary programs.
+// TestEngineParityRandomized cross-validates the factored node engine
+// against dense per-node solves (DisableWarmStart) and, on models small
+// enough to enumerate, against brute force.
 func TestEngineParityRandomized(t *testing.T) {
 	rng := testRNG(987654321)
 	for trial := 0; trial < 80; trial++ {
 		m := randBinaryModel(&rng)
-
-		t.Setenv("CASA_INCREMENTAL", "off")
-		cold, err := Solve(context.Background(), m, Options{})
+		eng, err := Solve(context.Background(), m, Options{})
 		if err != nil {
-			t.Fatalf("trial %d cold: %v", trial, err)
+			t.Fatalf("trial %d engine: %v", trial, err)
 		}
-		t.Setenv("CASA_INCREMENTAL", "on")
-		warm, err := Solve(context.Background(), m, Options{})
+		dense, err := Solve(context.Background(), m, Options{DisableWarmStart: true})
 		if err != nil {
-			t.Fatalf("trial %d warm: %v", trial, err)
+			t.Fatalf("trial %d dense: %v", trial, err)
 		}
-		if cold.Status != warm.Status {
-			t.Fatalf("trial %d: status %v (fsx) vs %v (rsx)", trial, warm.Status, cold.Status)
+		refs := map[string]*Solution{"dense": dense}
+		if len(m.integerVars()) <= 24 {
+			bf, err := SolveBruteForce(context.Background(), m)
+			if err != nil {
+				t.Fatalf("trial %d brute force: %v", trial, err)
+			}
+			refs["brute-force"] = bf
 		}
-		if cold.Status == Optimal && !almostEq(cold.Objective, warm.Objective) {
-			t.Fatalf("trial %d: obj %g (fsx) vs %g (rsx)", trial, warm.Objective, cold.Objective)
+		for name, ref := range refs {
+			if eng.Status != ref.Status {
+				t.Fatalf("trial %d: status %v (fsx) vs %v (%s)", trial, eng.Status, ref.Status, name)
+			}
+			if ref.Status == Optimal && !almostEq(eng.Objective, ref.Objective) {
+				t.Fatalf("trial %d: obj %g (fsx) vs %g (%s)", trial, eng.Objective, ref.Objective, name)
+			}
 		}
 	}
 }
@@ -161,7 +153,6 @@ func casaLikeModel(nItems int, capRHS float64) *Model {
 // the reduction, a smaller capacity patches it, and both yield the same
 // optimum as session-less solves.
 func TestSessionPresolveReuse(t *testing.T) {
-	t.Setenv("CASA_INCREMENTAL", "on")
 	reuse := obs.GetCounter("casa_presolve_reuse_total")
 	start := reuse.Value() // other tests share the global counter
 
@@ -209,7 +200,6 @@ func TestSessionPresolveReuse(t *testing.T) {
 // goroutines; correctness is checked per solve and the race detector
 // covers the cache.
 func TestSessionSharedConcurrently(t *testing.T) {
-	t.Setenv("CASA_INCREMENTAL", "on")
 	sess := NewSession()
 	caps := []float64{30, 28, 24, 20, 17, 12, 9}
 	wants := make([]float64, len(caps))
@@ -244,8 +234,8 @@ func TestSessionSharedConcurrently(t *testing.T) {
 	}
 }
 
-// TestWarmCellHitCounter checks the hit counter fires exactly when a
-// cutoff is both supplied and the incremental layer is on.
+// TestWarmCellHitCounter checks the hit counter fires exactly once for
+// a solve that keeps a supplied cutoff.
 func TestWarmCellHitCounter(t *testing.T) {
 	hits := obs.GetCounter("casa_ilp_warm_cell_hits_total")
 	m := casaLikeModel(8, 15)
@@ -255,7 +245,6 @@ func TestWarmCellHitCounter(t *testing.T) {
 	}
 	cut := base.Objective
 
-	t.Setenv("CASA_INCREMENTAL", "on")
 	before := hits.Value()
 	if _, err := Solve(context.Background(), m, Options{Cutoff: &cut}); err != nil {
 		t.Fatal(err)
@@ -263,13 +252,81 @@ func TestWarmCellHitCounter(t *testing.T) {
 	if hits.Value() != before+1 {
 		t.Fatalf("warm hits %d -> %d, want +1", before, hits.Value())
 	}
+}
 
-	t.Setenv("CASA_INCREMENTAL", "off")
-	before = hits.Value()
-	if _, err := Solve(context.Background(), m, Options{Cutoff: &cut}); err != nil {
+// solveDeltas solves m and reports how far each solver counter moved.
+func solveDeltas(t *testing.T, m *Model, opt Options) (*Solution, map[string]int64) {
+	t.Helper()
+	names := []string{"casa_ilp_solves_total", "casa_ilp_nodes_total", "casa_ilp_simplex_iters_total",
+		"casa_ilp_branches_total", "casa_ilp_nodes_pruned_total", "casa_ilp_warm_cell_hits_total"}
+	before := make(map[string]int64, len(names))
+	for _, n := range names {
+		before[n] = obs.GetCounter(n).Value()
+	}
+	sol, err := Solve(context.Background(), m, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if hits.Value() != before {
-		t.Fatalf("warm hits moved with incremental off: %d -> %d", before, hits.Value())
+	d := make(map[string]int64, len(names))
+	for _, n := range names {
+		d[n] = obs.GetCounter(n).Value() - before[n]
+	}
+	return sol, d
+}
+
+// TestBadCutoffRetryAccounting pins the bookkeeping of the re-solve a
+// too-tight transferred cutoff triggers: the rejected cutoff is no warm
+// hit, the failed attempt's nodes, iterations and prunes count in both
+// the Solution and the counters, and the retry only gets what is left
+// of the node limit.
+func TestBadCutoffRetryAccounting(t *testing.T) {
+	rng := testRNG(24680)
+	retried := 0
+	for trial := 0; trial < 60; trial++ {
+		m := randBinaryModel(&rng)
+		cold, coldD := solveDeltas(t, m, Options{})
+		if cold.Status != Optimal {
+			continue
+		}
+		slack := 1.0
+		if m.sense == Maximize {
+			slack = -1
+		}
+		cut := cold.Objective - slack
+		got, d := solveDeltas(t, m, Options{Cutoff: &cut})
+		if got.Status != Optimal || !almostEq(got.Objective, cold.Objective) {
+			t.Fatalf("trial %d: %v/%g, want optimal/%g", trial, got.Status, got.Objective, cold.Objective)
+		}
+		if d["casa_ilp_warm_cell_hits_total"] != 0 || d["casa_ilp_solves_total"] != 1 {
+			t.Fatalf("trial %d: warm hits %+d, solves %+d; want +0, +1", trial,
+				d["casa_ilp_warm_cell_hits_total"], d["casa_ilp_solves_total"])
+		}
+		if d["casa_ilp_nodes_total"] != int64(got.Nodes) || d["casa_ilp_simplex_iters_total"] != int64(got.SimplexIters) ||
+			d["casa_ilp_branches_total"] != int64(got.Branches) {
+			t.Fatalf("trial %d: counters %v disagree with solution nodes=%d iters=%d branches=%d",
+				trial, d, got.Nodes, got.SimplexIters, got.Branches)
+		}
+		if got.Nodes < cold.Nodes || got.SimplexIters < cold.SimplexIters ||
+			d["casa_ilp_nodes_pruned_total"] < coldD["casa_ilp_nodes_pruned_total"] {
+			t.Fatalf("trial %d: retry reported less work than a cold solve: %v vs %v", trial, d, coldD)
+		}
+		first := got.Nodes - cold.Nodes
+		if first == 0 {
+			continue // presolve settled the model; no cutoff was installed
+		}
+		retried++
+		// The retry replays the cold tree, so one node short of both
+		// attempts' total must stop it at the node limit.
+		lim, err := Solve(context.Background(), m, Options{Cutoff: &cut, MaxNodes: first + cold.Nodes - 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lim.Status == Optimal || lim.DegradedReason != "node-limit" || lim.Nodes != first+cold.Nodes-1 {
+			t.Fatalf("trial %d: node limit %d gave %v (%q) after %d nodes; want node-limit stop",
+				trial, first+cold.Nodes-1, lim.Status, lim.DegradedReason, lim.Nodes)
+		}
+	}
+	if retried == 0 {
+		t.Fatal("no trial exercised the bad-cutoff retry")
 	}
 }

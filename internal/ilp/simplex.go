@@ -23,8 +23,8 @@ const (
 
 	// stObjLimit (unexported) means the engine proved the relaxation
 	// objective exceeds the caller-installed limit and stopped early; the
-	// node is pruned without finishing the LP. Only the incremental
-	// engine (factor.go) returns it.
+	// node is pruned without finishing the LP. Only the node engine
+	// (factor.go) returns it.
 	stObjLimit
 )
 
@@ -78,12 +78,16 @@ func solveLP(m *Model, lo, hi []float64, tol float64) lpOutcome {
 	n := m.NumVars()
 
 	// Column layout: structural columns first. Lower bounds shift to 0;
-	// free variables split into positive and negative parts.
+	// variables without a lower bound split into positive and negative
+	// parts, shifted to their upper bound when it is finite.
 	maps := make([]varMap, n)
 	structCols := 0
 	for j := 0; j < n; j++ {
 		if math.IsInf(lo[j], -1) {
 			maps[j] = varMap{posCol: structCols, negCol: structCols + 1}
+			if !math.IsInf(hi[j], 1) {
+				maps[j].shift = hi[j]
+			}
 			structCols += 2
 		} else {
 			maps[j] = varMap{posCol: structCols, negCol: -1, shift: lo[j]}
@@ -151,7 +155,10 @@ func solveLP(m *Model, lo, hi []float64, tol float64) lpOutcome {
 	for j := 0; j < n; j++ {
 		vm := maps[j]
 		if vm.negCol >= 0 {
-			continue // free split: both parts unbounded above
+			if !math.IsInf(hi[j], 1) {
+				upper[vm.posCol] = 0 // x = hi − y_neg
+			}
+			continue
 		}
 		upper[vm.posCol] = hi[j] - lo[j]
 	}

@@ -76,12 +76,10 @@ type Options struct {
 	// solution: only strictly-worse subtrees are pruned (with a
 	// tolerance margin), so an optimal point always survives, and a
 	// cutoff that proves infeasible (a bad transfer) triggers a cold
-	// re-solve without it. Ignored when the incremental layer is
-	// disabled (IncrementalEnabled).
+	// re-solve without it inside the same Budget and node limit.
 	Cutoff *float64
 	// Session, when non-nil, reuses presolve reductions across solves of
-	// structurally identical models (see Session). Ignored when the
-	// incremental layer is disabled.
+	// structurally identical models (see Session).
 	Session *Session
 	// HotStart, when non-nil, carries a donor solve's final basis and
 	// branching statistics (see HotStart). The basis hot-starts the
@@ -90,7 +88,7 @@ type Options struct {
 	// root LP's reduced costs fix variables that provably cannot move in
 	// any optimal solution. None of it changes the returned solution —
 	// a basis that cannot be repaired to dual feasibility falls back to
-	// the cold path. Ignored when the incremental layer is disabled.
+	// the cold path.
 	HotStart *HotStart
 }
 
@@ -144,7 +142,8 @@ type Solution struct {
 	Gap float64
 	// HotStart is the transferable solver state of this solve — final
 	// simplex basis and accumulated pseudocosts — set on proven-optimal
-	// incremental-mode results for use as a neighbor's Options.HotStart.
+	// results solved on the factored engine, for use as a neighbor's
+	// Options.HotStart.
 	HotStart *HotStart
 }
 
@@ -183,11 +182,12 @@ func SolveLP(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 // integer variables it is equivalent to SolveLP.
 //
 // The solve pipeline: a root presolve shrinks the model (presolve.go);
-// node relaxations run on a bounded-variable revised dual simplex that
-// warm-starts from the basis left by the previous node (basis.go), with
-// the dense two-phase simplex as fallback; a root diving heuristic seeds
-// the incumbent so pruning bites from the first node; the tree itself is
-// explored best-bound-first with depth-first plunging.
+// node relaxations run on a factored bounded-variable revised dual
+// simplex that warm-starts from the basis left by the previous node
+// (factor.go), with the dense two-phase simplex as fallback; a root
+// diving heuristic seeds the incumbent so pruning bites from the first
+// node; the tree itself is explored best-bound-first with depth-first
+// plunging.
 //
 // Solve is anytime: when ctx is canceled, its deadline passes, or
 // opt.Budget expires, the search stops and returns the best incumbent
@@ -226,12 +226,10 @@ func Solve(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 		return done(&Solution{Status: Aborted, Degraded: true, DegradedReason: "fault:solver-deadline"})
 	}
 
-	incMode := IncrementalEnabled()
-
 	var pr *presolveResult
 	work := m
 	if !opt.DisablePresolve {
-		if opt.Session != nil && incMode {
+		if opt.Session != nil {
 			pr = opt.Session.presolveFor(m, opt.Tol)
 		} else {
 			pr = presolve(m, opt.Tol)
@@ -250,8 +248,12 @@ func Solve(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 		work = pr.reduced
 	}
 
-	s := &bbState{orig: m, w: work, pr: pr, opt: opt, ctx: ctx, incMode: incMode}
-	if opt.Cutoff != nil && incMode {
+	var deadline time.Time
+	if opt.Budget > 0 {
+		deadline = time.Now().Add(opt.Budget)
+	}
+	s := &bbState{orig: m, w: work, pr: pr, opt: opt, ctx: ctx, deadline: deadline}
+	if opt.Cutoff != nil {
 		// Map the cutoff from the original objective space into w's
 		// minimization space. Postsolve is affine, so the two spaces
 		// differ by a constant offset; probe it at two points and keep
@@ -280,15 +282,28 @@ func Solve(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 			s.hasCutoff = true
 			s.cutoffW = signO*(*opt.Cutoff) - off0
 			s.cutMargin = 1e-6 * math.Max(1, math.Abs(s.cutoffW))
-			mWarmCellHits.Inc()
 		}
 	}
 	s.run()
-	mPruned.Add(int64(s.pruned))
-	mWarm.Add(int64(s.warm))
-	mFallback.Add(int64(s.fallbacks))
-	mHeuristic.Add(int64(s.heuristics))
-	mRCFixed.Add(int64(s.rcFixed))
+	spent := s.bbWork
+	if s.hasCutoff && s.incumbent == nil && !s.unbounded && !s.hitLimit && s.stopReason == "" {
+		// A transferred cutoff asserts that a feasible point exists; an
+		// "infeasible" outcome can only mean the transfer was bad (donor
+		// mismatch). Drop it and solve cold on the same presolved model —
+		// correctness never depends on the cutoff being right. The retry
+		// inherits what is left of the clock and the node limit, and the
+		// rejected cutoff is not counted as a warm hit.
+		s = &bbState{orig: m, w: work, pr: pr, opt: opt, ctx: ctx, deadline: deadline}
+		s.opt.MaxNodes -= spent.nodes
+		s.run()
+		spent.add(s.bbWork)
+	} else if s.hasCutoff {
+		mWarmCellHits.Inc()
+	}
+	mPruned.Add(int64(spent.pruned))
+	mWarm.Add(int64(spent.warm))
+	mHeuristic.Add(int64(spent.heuristics))
+	mRCFixed.Add(int64(spent.rcFixed))
 
 	stopped := s.hitLimit || s.stopReason != ""
 	reason := s.stopReason
@@ -296,7 +311,7 @@ func Solve(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 		reason = "node-limit"
 	}
 
-	sol := &Solution{Nodes: s.nodes, Branches: s.branches, SimplexIters: s.iters}
+	sol := &Solution{Nodes: spent.nodes, Branches: spent.branches, SimplexIters: spent.iters}
 	switch {
 	case s.unbounded:
 		// The relaxation is unbounded. With integer variables this still
@@ -319,24 +334,16 @@ func Solve(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 		sol.Degraded = true
 		sol.DegradedReason = reason
 	default:
-		if s.hasCutoff {
-			// A transferred cutoff asserts that a feasible point exists;
-			// an "infeasible" outcome can only mean the transfer was bad
-			// (donor mismatch). Drop it and solve cold — correctness never
-			// depends on the cutoff being right.
-			opt.Cutoff = nil
-			return Solve(ctx, m, opt)
-		}
 		// Either no node was LP-feasible, or LP-feasible nodes existed but
 		// none produced an integral point and the tree is exhausted:
 		// infeasible either way.
 		sol.Status = Infeasible
 	}
-	if s.incMode && s.fsxEng != nil && sol.Status == Optimal {
+	if s.eng != nil && sol.Status == Optimal {
 		// Publish this solve's warm state for neighboring cells. Only
 		// proven-optimal results donate: a degraded basis or pseudocost
 		// table depends on where the clock cut the search.
-		sol.HotStart = buildHotStart(s.fsxEng, s.w, s.pr, m, s.pc)
+		sol.HotStart = buildHotStart(s.eng, s.w, s.pr, m, s.pc)
 	}
 	if s.incumbent != nil {
 		x := s.incumbent
@@ -365,17 +372,22 @@ type bbNode struct {
 	pup   bool
 }
 
-// nodeEngine is a warm-started LP engine persisting across branch &
-// bound nodes: rsx (dense basis inverse, the legacy path) or fsx
-// (factored basis with objective-limit early stop, the incremental
-// path).
-type nodeEngine interface {
-	setBounds(lo, hi []float64)
-	solve(maxIter int) Status
-	values() []float64
-	iterCount() int
-	dims() (n, m int)
-	setObjLimit(z float64)
+// bbWork is the effort of a branch & bound run, reported in Solution
+// and the solver counters.
+type bbWork struct {
+	nodes, branches, iters int
+	pruned, warm           int
+	heuristics, rcFixed    int
+}
+
+func (w *bbWork) add(o bbWork) {
+	w.nodes += o.nodes
+	w.branches += o.branches
+	w.iters += o.iters
+	w.pruned += o.pruned
+	w.warm += o.warm
+	w.heuristics += o.heuristics
+	w.rcFixed += o.rcFixed
 }
 
 // bbState is the working state of one branch & bound run over the
@@ -386,27 +398,23 @@ type bbState struct {
 	pr   *presolveResult
 	opt  Options
 
-	sign    float64    // w's minimization-space sign
-	eng     nodeEngine // warm-started engine, nil => dense per-node solves
+	sign    float64 // w's minimization-space sign
+	eng     *fsx    // warm-started engine, nil => dense per-node solves
 	intVars []int
 
-	incMode   bool    // incremental layer active (engine choice, cutoff)
 	hasCutoff bool    // a transferred cutoff is installed
 	cutoffW   float64 // cutoff in w's minimization space
 	cutMargin float64 // tolerance margin: prune only strictly beyond it
 
-	fsxEng  *fsx     // the factored engine when s.eng is one (hot starts)
-	pc      *pcTable // pseudocost store, nil outside incremental mode
-	rcFixed int      // root reduced-cost fixings against the cutoff
+	pc *pcTable // pseudocost store
 
 	incumbent    []float64 // in w's variable space
 	incumbentVal float64   // minimization space
 
 	heap []bbNode // open nodes, min (bound, seq) at the top
 
-	nodes, branches, iters           int
-	pruned, warm, fallbacks          int
-	heuristics, engSolves, seq       int
+	bbWork
+	engSolves, seq                   int
 	sawFeasible, hitLimit, unbounded bool
 
 	ctx        context.Context
@@ -456,40 +464,23 @@ func (s *bbState) run() {
 	s.intVars = s.w.integerVars()
 	s.incumbentVal = math.Inf(1)
 	s.openBound = math.Inf(1)
-	if s.opt.Budget > 0 {
-		s.deadline = time.Now().Add(s.opt.Budget)
-	}
 	if !s.opt.DisableWarmStart {
-		// Assign through explicit nil checks: a typed-nil engine stored in
-		// the interface would defeat the s.eng != nil dense-fallback tests.
-		if s.incMode {
-			if f := newFSX(s.w, s.opt.Tol); f != nil {
-				s.eng = f
-				s.fsxEng = f
-			}
-		}
-		if s.eng == nil {
-			if r := newRSX(s.w, s.opt.Tol); r != nil {
-				s.eng = r
-			}
-		}
+		s.eng = newFSX(s.w, s.opt.Tol)
 	}
-	if s.incMode {
-		s.pc = newPCTable(s.w.NumVars())
-		if hs := s.opt.HotStart; hs != nil {
-			if s.pc.seed(hs.Pseudo, s.w) {
-				mPseudoTransfer.Inc()
-			}
-			if hs.Basis != nil && s.fsxEng != nil {
-				// Hot-start the factored engine from the donor basis mapped
-				// through shared column/row names. A mapping or repair
-				// failure leaves the engine on its crash basis — the cold
-				// path — and goes uncounted.
-				if basic, atUpper, ok := mapHotBasis(hs.Basis, s.w, s.pr, s.orig); ok {
-					if pivots, installed := s.fsxEng.installBasis(basic, atUpper); installed {
-						mBasisReuse.Inc()
-						mBasisRepair.Add(int64(pivots))
-					}
+	s.pc = newPCTable(s.w.NumVars())
+	if hs := s.opt.HotStart; hs != nil {
+		if s.pc.seed(hs.Pseudo, s.w) {
+			mPseudoTransfer.Inc()
+		}
+		if hs.Basis != nil && s.eng != nil {
+			// Hot-start the engine from the donor basis mapped through
+			// shared column/row names. A mapping or repair failure leaves
+			// the engine on its crash basis — the cold path — and goes
+			// uncounted.
+			if basic, atUpper, ok := mapHotBasis(hs.Basis, s.w, s.pr, s.orig); ok {
+				if pivots, installed := s.eng.installBasis(basic, atUpper); installed {
+					mBasisReuse.Inc()
+					mBasisRepair.Add(int64(pivots))
 				}
 			}
 		}
@@ -543,38 +534,34 @@ func (s *bbState) pruneable(bound float64) bool {
 // the engine is available, dense two-phase simplex otherwise or when the
 // engine aborts.
 func (s *bbState) solveNodeLP(lo, hi []float64) (Status, []float64) {
-	if s.eng != nil {
-		s.eng.setBounds(lo, hi)
-		if s.incMode {
-			// Early-stop limit: the tighter of the transferred cutoff and
-			// the incumbent-pruning threshold. An LP whose objective
-			// passes it can only end in a pruned node.
-			lim := math.Inf(1)
-			if s.hasCutoff {
-				lim = s.cutoffW + s.cutMargin
-			}
-			if s.incumbent != nil {
-				if t := s.incumbentVal - s.opt.Tol*math.Max(1, math.Abs(s.incumbentVal)); t < lim {
-					lim = t
-				}
-			}
-			s.eng.setObjLimit(lim)
+	if e := s.eng; e != nil {
+		e.setBounds(lo, hi)
+		// Early-stop limit: the tighter of the transferred cutoff and the
+		// incumbent-pruning threshold. An LP whose objective passes it can
+		// only end in a pruned node.
+		e.objLimit = math.Inf(1)
+		if s.hasCutoff {
+			e.objLimit = s.cutoffW + s.cutMargin
 		}
-		before := s.eng.iterCount()
-		en, em := s.eng.dims()
-		st := s.eng.solve(2000 + 50*(em+en))
-		s.iters += s.eng.iterCount() - before
+		if s.incumbent != nil {
+			if t := s.incumbentVal - s.opt.Tol*math.Max(1, math.Abs(s.incumbentVal)); t < e.objLimit {
+				e.objLimit = t
+			}
+		}
+		before := e.iters
+		st := e.solve()
+		s.iters += e.iters - before
 		if s.engSolves > 0 {
 			s.warm++
 		}
 		s.engSolves++
 		if st != Aborted {
 			if st == Optimal {
-				return Optimal, s.eng.values()
+				return Optimal, e.values()
 			}
 			return st, nil
 		}
-		s.fallbacks++
+		mFallback.Inc()
 	}
 	out := solveLP(s.w, lo, hi, s.opt.Tol)
 	s.iters += out.iters
@@ -680,7 +667,7 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 		}
 		bound := s.sign * Eval(s.w.obj, x)
 		s.sawFeasible = true
-		if s.pc != nil && nd.pvar >= 0 {
+		if nd.pvar >= 0 {
 			// Credit the branching that created this node with the bound
 			// gain its LP realized; cleared so the dense-fallback retry
 			// below cannot double-count.
@@ -691,49 +678,32 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 			s.pruned++
 			return nil
 		}
-		if s.nodes == 1 && s.incMode && s.hasCutoff && fromEngine && s.fsxEng != nil && st == Optimal {
+		if s.nodes == 1 && s.hasCutoff && fromEngine && st == Optimal {
 			// Root reduced-cost fixing against the transferred cutoff,
 			// while the engine still holds the root LP's reduced costs.
 			s.fixByReducedCost(nd, bound)
 		}
 
 		// Branch variable: among fractional integer variables, the
-		// highest branch-priority class, then (incremental mode) the best
-		// pseudocost product score — which, with no observations in the
-		// table, reduces exactly to the legacy most-fractional rule —
-		// or (legacy mode) most fractional within it.
+		// highest branch-priority class, then the best pseudocost product
+		// score — which, with no observations in the table, reduces
+		// exactly to most fractional.
 		// Priorities let formulations steer branching toward genuine
 		// decision variables (CASA: the l's) instead of derived ones
 		// (the linearization L's, which the l's imply).
 		branchVar := -1
 		bestPrio := math.MinInt
-		if s.pc != nil {
-			bestScore := 0.0
-			for _, j := range s.intVars {
-				if math.Abs(x[j]-math.Round(x[j])) <= s.opt.IntTol {
-					continue
-				}
-				p := s.w.prio[j]
-				sc := s.pc.score(j, x[j]-math.Floor(x[j]))
-				if p > bestPrio || (p == bestPrio && sc > bestScore) {
-					bestPrio = p
-					bestScore = sc
-					branchVar = j
-				}
+		bestScore := 0.0
+		for _, j := range s.intVars {
+			if math.Abs(x[j]-math.Round(x[j])) <= s.opt.IntTol {
+				continue
 			}
-		} else {
-			worst := s.opt.IntTol
-			for _, j := range s.intVars {
-				frac := math.Abs(x[j] - math.Round(x[j]))
-				if frac <= s.opt.IntTol {
-					continue
-				}
-				p := s.w.prio[j]
-				if p > bestPrio || (p == bestPrio && frac > worst) {
-					bestPrio = p
-					worst = frac
-					branchVar = j
-				}
+			p := s.w.prio[j]
+			sc := s.pc.score(j, x[j]-math.Floor(x[j]))
+			if p > bestPrio || (p == bestPrio && sc > bestScore) {
+				bestPrio = p
+				bestScore = sc
+				branchVar = j
 			}
 		}
 		if branchVar < 0 {
@@ -747,7 +717,7 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 			}
 			// Warm-basis drift produced an integral point that fails the
 			// feasibility screen: re-solve this node from scratch.
-			s.fallbacks++
+			mFallback.Inc()
 			out := solveLP(s.w, nd.lo, nd.hi, s.opt.Tol)
 			s.iters += out.iters
 			st, x, fromEngine = out.status, out.x, false
@@ -795,7 +765,7 @@ func (s *bbState) processNode(nd *bbNode) *bbNode {
 // tightened box. Runs only while the engine still holds the root LP's
 // basis.
 func (s *bbState) fixByReducedCost(nd *bbNode, bound float64) {
-	f := s.fsxEng
+	f := s.eng
 	lim := s.cutoffW + s.cutMargin
 	for _, j := range s.intVars {
 		if nd.hi[j]-nd.lo[j] < 0.5 {

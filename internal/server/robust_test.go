@@ -326,7 +326,6 @@ func TestDrainWaitsForStalledLeader(t *testing.T) {
 // priority order, emptying the interned programs and warm donors and
 // halving the result cache.
 func TestWatchdogShedsInPriorityOrder(t *testing.T) {
-	t.Setenv("CASA_INCREMENTAL", "on")
 	cfg := testConfig()
 	cfg.MemSoftLimitBytes = 1 // any live heap is over
 	s := New(cfg)
@@ -383,7 +382,6 @@ func TestWatchdogShedsInPriorityOrder(t *testing.T) {
 // restored cache — zero new solves — and warm-start the first
 // neighboring solve from a restored donor.
 func TestSnapshotRoundTrip(t *testing.T) {
-	t.Setenv("CASA_INCREMENTAL", "on")
 	path := filepath.Join(t.TempDir(), "snap.json")
 
 	a := New(testConfig())

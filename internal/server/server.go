@@ -277,7 +277,7 @@ type Server struct {
 
 	// session shares ILP presolve reductions across requests; warm
 	// transfers solved selections between single-parameter-apart
-	// hierarchies (warm.go). Both are CASA_INCREMENTAL-gated.
+	// hierarchies (warm.go).
 	session *ilp.Session
 	warm    warmStore
 
@@ -705,7 +705,7 @@ func (s *Server) compute(rctx context.Context, req *Request, key string, deadlin
 		alloc = "greedy"
 	}
 	wk := warmKey{prog: prog, spec: spec, spm: req.Hierarchy.SPMBytes}
-	if alloc == "casa" && ilp.IncrementalEnabled() {
+	if alloc == "casa" {
 		// Cross-request warm start: seed the solve with the tightest
 		// cutoff transferable from a solved neighboring hierarchy, plus
 		// the best partition-matching donor's simplex basis and
@@ -734,7 +734,7 @@ func (s *Server) compute(rctx context.Context, req *Request, key string, deadlin
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", alloc, err)
 	}
-	if alloc == "casa" && ilp.IncrementalEnabled() {
+	if alloc == "casa" {
 		// Publish proven-optimal selections as donors for later
 		// requests; budget-degraded incumbents are timing-dependent and
 		// must not influence other solves.

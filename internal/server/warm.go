@@ -22,8 +22,6 @@ import (
 // prune provably-worse subtrees, so answers are identical to cold
 // solves — warm requests are just faster, and are counted by
 // casa_server_warm_solves_total.
-//
-// Like the suite planner, everything is gated on CASA_INCREMENTAL.
 
 // warmKey identifies one solved hierarchy configuration. Programs are
 // canonical instances (workload.Shared or the intern table), so pointer

@@ -59,7 +59,7 @@ if [ "$loadmode" = 1 ]; then
   port="${CASA_LOAD_PORT:-8348}"
   bindir="$(mktemp -d)"
   pid=""
-  trap '[ -n "$pid" ] && kill "$pid" 2>/dev/null; rm -rf "$bindir"' EXIT
+  trap 'if [ -n "$pid" ]; then kill "$pid" 2>/dev/null || true; fi; rm -rf "$bindir"' EXIT
 
   go build -o "$bindir/casad" ./cmd/casad
   go build -o "$bindir/casaload" ./cmd/casaload
