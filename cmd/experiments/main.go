@@ -43,6 +43,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/slogx"
 	"repro/internal/parallel"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 type study struct {
@@ -241,21 +243,35 @@ func collectDegraded(spans []*obs.Span) []obs.DegradedCell {
 }
 
 // compare times each study twice on fresh suites — serial, then at the
-// requested width. The fetch-stream cache is disabled so the second run
-// does not coast on recordings the first one left behind.
+// requested width. The bundled programs' memos are forgotten before each
+// timed run, so the second run does not coast on the profiles, traces
+// and simulation records the first one left behind.
 func compare(sel []study, workers int) error {
-	if err := os.Setenv("CASA_STREAM_CACHE", "off"); err != nil {
-		return err
+	forget := func() error {
+		for _, name := range workload.Names() {
+			p, err := workload.Shared(name)
+			if err != nil {
+				return err
+			}
+			sim.Forget(p)
+		}
+		return nil
 	}
 	ctx := context.Background()
 	width := parallel.Workers(workers)
 	fmt.Printf("%-12s %10s %14s %9s\n", "study", "serial(s)", "parallel(s)", "speedup")
 	for _, st := range sel {
+		if err := forget(); err != nil {
+			return err
+		}
 		start := time.Now()
 		if err := st.run(ctx, experiments.NewSuite().SetWorkers(1), io.Discard); err != nil {
 			return err
 		}
 		serial := time.Since(start)
+		if err := forget(); err != nil {
+			return err
+		}
 		start = time.Now()
 		if err := st.run(ctx, experiments.NewSuite().SetWorkers(workers), io.Discard); err != nil {
 			return err

@@ -148,6 +148,11 @@ type Cache struct {
 	// walk entirely.
 	lastLine uint32
 	lastWay  int
+	// observe, when set, receives every AccessRun access whose set's
+	// previous access was to another line; setLast holds each set's
+	// latest line plus one (0: none yet) for associative sets.
+	observe func(line uint32)
+	setLast []uint32
 }
 
 // New returns an empty cache for the configuration.
@@ -191,6 +196,9 @@ func (c *Cache) Reset() {
 	}
 	for i := range c.stats {
 		c.stats[i] = SetStats{}
+	}
+	for i := range c.setLast {
+		c.setLast[i] = 0
 	}
 	c.clock = 0
 	c.rng = c.cfg.Seed ^ 0x9e3779b97f4a7c15
@@ -283,6 +291,21 @@ func (c *Cache) accessSlow(addr, line uint32, mo int) Result {
 	return res
 }
 
+// ObserveSets makes AccessRun call fn with the line number (address >>
+// log2(LineBytes)) of every access that reaches an associative set
+// whose previous access was to a different line: the order in which
+// distinct lines reach each set, with back-to-back repeats left out. A
+// direct-mapped set holds only its latest line, so its transitions are
+// exactly its misses, which AccessRun reports through onMiss; fn is not
+// called for them. A nil fn stops the reports.
+func (c *Cache) ObserveSets(fn func(line uint32)) {
+	c.observe = fn
+	c.setLast = nil
+	if fn != nil {
+		c.setLast = make([]uint32, c.cfg.Sets())
+	}
+}
+
 // AccessN performs n consecutive fetches starting at addr by the given
 // memory object, all of which must fall within one cache line (the
 // memory-hierarchy simulator splits block runs at line boundaries before
@@ -319,7 +342,7 @@ func (c *Cache) AccessN(addr uint32, n int, mo int) Result {
 func (c *Cache) AccessRun(addr uint32, k int, mo int, onMiss func(addr uint32, r Result)) (misses, lines int64) {
 	lineWords := uint32(1) << (c.lineShift - 2)
 	for k > 0 {
-		seg := int(lineWords - (addr>>2)%lineWords)
+		seg := int(lineWords - ((addr >> 2) & (lineWords - 1)))
 		if seg > k {
 			seg = k
 		}
@@ -361,6 +384,10 @@ func (c *Cache) AccessRun(addr uint32, k int, mo int, onMiss func(addr uint32, r
 				onMiss(addr, r)
 			}
 		} else {
+			if c.observe != nil && c.setLast[set] != line+1 {
+				c.setLast[set] = line + 1
+				c.observe(line)
+			}
 			if r := c.AccessN(addr, seg, mo); !r.Hit {
 				misses++
 				onMiss(addr, r)

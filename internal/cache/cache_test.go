@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -408,5 +409,62 @@ func assertSameState(t *testing.T, want, got *Cache) {
 	}
 	if wb.String() != gb.String() {
 		t.Errorf("state differs:\n--- want ---\n%s--- got ---\n%s", wb.String(), gb.String())
+	}
+}
+
+// TestObserveSets: AccessRun reports exactly the accesses whose set was
+// last touched by a different line, computed here from the address
+// stream alone, for associative caches; under direct mapping those are
+// the misses, which onMiss reports instead.
+func TestObserveSets(t *testing.T) {
+	type run struct {
+		addr uint32
+		k    int
+	}
+	var runs []run
+	rng := uint64(0x5eed)
+	for i := 0; i < 2000; i++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		runs = append(runs, run{addr: uint32(rng>>20) % 2048 &^ 3, k: 1 + int(rng%23)})
+	}
+	for _, cfg := range []Config{
+		{SizeBytes: 128, LineBytes: 16, Assoc: 1},
+		{SizeBytes: 256, LineBytes: 16, Assoc: 2},
+		{SizeBytes: 256, LineBytes: 8, Assoc: 4, Replacement: FIFO},
+	} {
+		c := mustNew(t, cfg)
+		var observed, missed, want []uint32
+		c.ObserveSets(func(line uint32) { observed = append(observed, line) })
+		last := map[uint32]uint32{} // set → its latest line+1
+		for _, r := range runs {
+			c.AccessRun(r.addr, r.k, 0, func(a uint32, _ Result) {
+				missed = append(missed, a/uint32(cfg.LineBytes))
+			})
+			for a := r.addr; a < r.addr+uint32(4*r.k); a += 4 {
+				line := a / uint32(cfg.LineBytes)
+				if set := line % uint32(cfg.Sets()); last[set] != line+1 {
+					last[set] = line + 1
+					want = append(want, line)
+				}
+			}
+		}
+		got := observed
+		if cfg.Assoc == 1 {
+			if len(observed) != 0 {
+				t.Errorf("direct-mapped: %d reports, want none", len(observed))
+			}
+			got = missed
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%d-way: %d transitions reported, want %d", cfg.Assoc, len(got), len(want))
+		}
+		c.ObserveSets(nil)
+		n := len(observed)
+		c.AccessRun(0, 64, 0, func(uint32, Result) {})
+		if len(observed) != n {
+			t.Error("reports after ObserveSets(nil)")
+		}
 	}
 }

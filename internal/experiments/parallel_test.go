@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // renderFig4 runs Figure 4 on a fresh suite at the given worker count and
@@ -95,9 +98,9 @@ func TestSuiteConcurrentStudies(t *testing.T) {
 
 // TestParallelSpeedup checks the ≥2× wall-clock win at 4 workers on the
 // mpeg grid. It needs real parallel hardware, so it skips on small hosts
-// (CI containers with 1–2 CPUs cannot exhibit the speedup), and disables
-// the fetch-stream cache so the pool itself is measured rather than the
-// memoization layer.
+// (CI containers with 1–2 CPUs cannot exhibit the speedup), and forgets
+// the shared programs' memos before each timed run so the pool itself
+// is measured rather than the memoization layer.
 func TestParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -105,17 +108,21 @@ func TestParallelSpeedup(t *testing.T) {
 	if runtime.NumCPU() < 4 {
 		t.Skipf("need ≥4 CPUs for a meaningful speedup measurement, have %d", runtime.NumCPU())
 	}
-	t.Setenv("CASA_STREAM_CACHE", "off")
-
 	cfg := DefaultFig4()
 	run := func(workers int) time.Duration {
+		for _, name := range workload.Names() {
+			p, err := workload.Shared(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.Forget(p)
+		}
 		start := time.Now()
 		if _, err := Fig4(context.Background(), NewSuite().SetWorkers(workers), cfg); err != nil {
 			t.Fatalf("Fig4 (%d workers): %v", workers, err)
 		}
 		return time.Since(start)
 	}
-	run(1) // warm the process-wide profile memo so both timed runs see it
 	serial := run(1)
 	parallel := run(4)
 	speedup := float64(serial) / float64(parallel)

@@ -88,6 +88,9 @@ type Layout struct {
 	fallJumpAddr [][]uint32
 	fallJumpOK   [][]bool
 	blockMO      [][]int
+
+	// mainFP fingerprints the main-memory image (see MainFingerprint).
+	mainFP uint64
 }
 
 // New builds the address map for the given allocation. inSPM[i] selects
@@ -174,6 +177,37 @@ func (l *Layout) resolveBlocks() {
 			l.fallJumpOK[last.Func][last.Block] = true
 		}
 	}
+	l.mainFP = l.mainFingerprint()
+}
+
+// mainFingerprint hashes what fixes the main-memory image's fetch
+// addresses: every trace's main-image slot (or its absence), size and
+// appended jump, and every block's trace and offset in it.
+func (l *Layout) mainFingerprint() uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		h ^= v
+		h *= 1099511628211
+		h ^= h >> 29
+	}
+	for _, t := range l.set.Traces {
+		base := uint64(l.mainBase[t.ID])
+		if !l.hasMain[t.ID] {
+			base = 1 << 40
+		}
+		jump := uint64(0)
+		if t.HasJump {
+			jump = 1
+		}
+		mix(uint64(t.ID))
+		mix(base)
+		mix(uint64(t.RawBytes)<<1 | jump)
+		for _, m := range t.Blocks {
+			mix(uint64(m.Func)<<32 | uint64(uint32(m.Block)))
+			mix(uint64(l.set.OffsetOf(m)))
+		}
+	}
+	return h
 }
 
 // BlockBase implements sim.Layout.
@@ -216,6 +250,21 @@ func (l *Layout) IsSPMAddr(addr uint32) bool {
 
 // SPMUsed returns the scratchpad bytes occupied by the allocation.
 func (l *Layout) SPMUsed() int { return l.spmUsed }
+
+// MainFingerprint returns a hash of the main-memory image: which block
+// sits at which main-image address, owned by which trace, and where the
+// appended jumps are. It ignores which traces execute from the
+// scratchpad, so a copy-mode layout has the fingerprint of the plain
+// layout it was copied from, while a move-mode allocation (which
+// compacts the image) does not. Layouts with equal fingerprints over
+// the same program fetch the same addresses for every trace that runs
+// from main memory.
+func (l *Layout) MainFingerprint() uint64 { return l.mainFP }
+
+// MainImageRange returns the main-memory code image [base, base+size).
+func (l *Layout) MainImageRange() (base uint32, size int) {
+	return l.opt.MainBase, l.mainBytes
+}
 
 // MainImageBytes returns the size of the main-memory code image.
 func (l *Layout) MainImageBytes() int { return l.mainBytes }

@@ -255,6 +255,16 @@ func TestReplayMatchesReferenceBattery(t *testing.T) {
 					}
 					ref, got := runEngines(t, p, lay, cfg)
 					diffResults(t, ref, got)
+
+					// The same layout after a plain profiling run of the
+					// same key: derived where the derivation applies.
+					plainLay := mustLayout(t, set, nil, lc.opt)
+					want := hc.l1.SizeBytes > 0 && hc.l2.SizeBytes == 0 && !hc.useLC &&
+						(!lc.alloc || lc.opt.Mode == layout.Copy &&
+							(hc.l1.Assoc == 1 || hc.l1.Replacement != cache.Random))
+					if derived := checkAfterProfiling(t, p, plainLay, lay, cfg); derived != want {
+						t.Errorf("derived = %v, want %v", derived, want)
+					}
 				})
 			}
 		}
@@ -339,6 +349,9 @@ func FuzzReplayMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Skipf("unbuildable program: %v", err)
 		}
+		// Every input builds a new program; release its memos, or they
+		// pin one program per input for the life of the worker.
+		defer sim.Forget(p)
 		set := buildTraces(t, p, trace.Options{
 			MaxBytes:  16 << (fz.byte() % 4),
 			LineBytes: 4 << (fz.byte() % 3),

@@ -16,6 +16,7 @@ package memsim
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/energy"
@@ -230,6 +231,14 @@ type hier struct {
 
 	lines int64 // cache-line transitions driven (casa_sim_lines_total)
 	bulk  int64 // bulk run deliveries (casa_sim_bulk_fetches_total)
+
+	// record marks a conflict-profiling run that keeps a record for
+	// later derived runs (record.go). rec collects the record's set
+	// sequences when it can have them: from the miss path under direct
+	// mapping (recMisses), else through cache.ObserveSets.
+	record    bool
+	rec       *recorder
+	recMisses bool
 }
 
 // Fetch implements sim.Fetcher for the stray single fetches (appended
@@ -366,6 +375,9 @@ func (h *hier) FetchRunRepeat(base uint32, n int, mo int, count int64) {
 			h.lines += skip * int64((lastLine-firstLine)/(h.lineMask+1)+1)
 			h.bulk += skip
 			h.ic.SkipHitRuns(base, n, skip)
+			if h.rec != nil {
+				h.rec.skipped(base, n, skip)
+			}
 		}
 		h.FetchRun(base, n, mo) // final pass: exact stamps and MRU hint
 		return
@@ -419,6 +431,18 @@ func (h *hier) cacheRun(addr uint32, k int, mo int) {
 // as h.missFn.
 func (h *hier) onMiss(addr uint32, r cache.Result) {
 	res := h.res
+	if h.recMisses {
+		// recorder.entry, written out: this is every miss of a
+		// direct-mapped profiling run.
+		rec := h.rec
+		line := addr >> rec.lineShift
+		q := &rec.sets[line&rec.setMask]
+		if q.n == len(q.cur) {
+			q.next()
+		}
+		q.cur[q.n] = uint16(line>>rec.setBits - rec.tagBase)
+		q.n++
+	}
 	if h.l2 != nil {
 		res.L2Accesses++
 		if h.l2.Access(addr, h.missMO).Hit {
@@ -450,6 +474,44 @@ func (h *hier) foldConflicts() {
 	}
 }
 
+// The dense m_ij accumulators of profiling runs are recycled through a
+// free list that survives garbage collections: one is nMO² counters
+// (430 KB for mpeg's finest partition), allocated per profiling run it
+// would be a large share of what a grid cell or a cold allocation
+// request allocates. The list keeps at most confFreeMax of them.
+const confFreeMax = 4
+
+var confFree struct {
+	sync.Mutex
+	bufs [][]int64
+}
+
+// getConf returns a zeroed accumulator of n counters.
+func getConf(n int) []int64 {
+	confFree.Lock()
+	for i, b := range confFree.bufs {
+		if cap(b) >= n {
+			last := len(confFree.bufs) - 1
+			confFree.bufs[i] = confFree.bufs[last]
+			confFree.bufs = confFree.bufs[:last]
+			confFree.Unlock()
+			b = b[:n]
+			clear(b)
+			return b
+		}
+	}
+	confFree.Unlock()
+	return make([]int64, n)
+}
+
+func putConf(b []int64) {
+	confFree.Lock()
+	defer confFree.Unlock()
+	if len(confFree.bufs) < confFreeMax {
+		confFree.bufs = append(confFree.bufs, b)
+	}
+}
+
 // Run simulates the program under the given layout and hierarchy.
 //
 // The default engine replays the memoized execute-once block trace at
@@ -457,7 +519,29 @@ func (h *hier) foldConflicts() {
 // accounts per instruction. Both engines produce bit-identical Results —
 // every counter, attribution and (because energy and cycles are derived
 // from the counters after the run) every float.
+//
+// A conflict-profiling run (TrackConflicts on a layout with nothing in
+// the scratchpad) also records its outcome, and a later plain or
+// copy-mode run over the same main image and cache is derived from that
+// record instead of replayed, with the same Result (record.go). Runs
+// that need Conflicts or the final cache, move-mode, loop-cache and L2
+// hierarchies, the reference engine and custom run options always
+// replay.
 func Run(prog *ir.Program, lay *layout.Layout, cfg Config, opts ...sim.Option) (*Result, error) {
+	key, keyed := recordKey(lay, cfg, opts)
+	var found bool
+	if keyed {
+		if r, ok := sim.CachedRecord(prog, key).(*record); ok {
+			if res, entries, ok := r.derive(lay, cfg); ok {
+				finalize(res, cfg, false, false)
+				flushMetrics(res, res.ConflictMisses, entries, 0)
+				mSimDerived.Inc()
+				return res, nil
+			}
+			found = true
+		}
+	}
+
 	res := &Result{PerMO: make([]MOStats, len(lay.Set().Traces))}
 	if cfg.TrackConflicts {
 		res.Conflicts = make(map[ConflictKey]int64)
@@ -496,7 +580,20 @@ func Run(prog *ir.Program, lay *layout.Layout, cfg Config, opts ...sim.Option) (
 	}
 	if cfg.TrackConflicts {
 		h.nMO = len(res.PerMO)
-		h.conf = make([]int64, h.nMO*h.nMO)
+		h.conf = getConf(h.nMO * h.nMO)
+		defer putConf(h.conf)
+		if keyed && !found && plain(lay) {
+			h.record = true
+			h.rec = newRecorder(lay, cfg.Cache)
+			switch {
+			case h.rec == nil:
+			case cfg.Cache.Assoc == 1:
+				h.recMisses = true
+			default:
+				ic.ObserveSets(h.rec.entry)
+				defer ic.ObserveSets(nil)
+			}
+		}
 	}
 
 	switch {
@@ -550,7 +647,7 @@ func Run(prog *ir.Program, lay *layout.Layout, cfg Config, opts ...sim.Option) (
 		if _, err := sim.Run(prog, lay, sim.FetcherFunc(fetch), opts...); err != nil {
 			return nil, err
 		}
-	case len(opts) == 0 && !sim.StreamCacheDisabled():
+	case len(opts) == 0:
 		// With default run limits the block trace depends only on the
 		// program, so replay the memoized execute-once recording under
 		// this layout; results are bit-identical to a live run.
@@ -560,8 +657,8 @@ func Run(prog *ir.Program, lay *layout.Layout, cfg Config, opts ...sim.Option) (
 		}
 		tr.Replay(lay, h)
 	default:
-		// Custom run options (and CASA_STREAM_CACHE=off) bypass the trace
-		// cache: re-execute the interpreter, still at line granularity.
+		// Custom run options bypass the trace cache: re-execute the
+		// interpreter, still at line granularity.
 		if _, err := sim.Run(prog, lay, h, opts...); err != nil {
 			return nil, err
 		}
@@ -570,11 +667,18 @@ func Run(prog *ir.Program, lay *layout.Layout, cfg Config, opts ...sim.Option) (
 	if cfg.TrackConflicts && !cfg.Reference {
 		h.foldConflicts()
 	}
+	if h.record {
+		sim.StoreRecord(prog, key, h.rec.finish(res))
+	}
 	finalize(res, cfg, lc != nil, l2 != nil)
 	if cfg.KeepCache {
 		res.Cache = ic
 	}
-	flushMetrics(res, ic, h)
+	var evictions int64
+	if ic != nil {
+		evictions = ic.TotalStats().Evictions
+	}
+	flushMetrics(res, evictions, h.lines, h.bulk)
 	return res, nil
 }
 
@@ -626,20 +730,22 @@ func finalize(res *Result, cfg Config, hasLC, hasL2 bool) {
 }
 
 // flushMetrics records the run's totals into the default registry — once
-// per run, at the end, so the per-fetch path stays metric-free.
-func flushMetrics(res *Result, ic *cache.Cache, h *hier) {
+// per run, at the end, so the per-fetch path stays metric-free. lines is
+// the cache-line transitions the run drove: all of them for a replay,
+// the re-simulated sequence entries for a derived run.
+func flushMetrics(res *Result, evictions, lines, bulk int64) {
 	mSimRuns.Inc()
 	mSimFetches.Add(res.Fetches)
 	mSimHits.Add(res.CacheHits)
 	mSimMisses.Add(res.CacheMisses)
 	mSimSPM.Add(res.SPMAccesses)
-	if ic != nil {
-		mSimEvicts.Add(ic.TotalStats().Evictions)
+	if evictions > 0 {
+		mSimEvicts.Add(evictions)
 	}
-	if h.lines > 0 {
-		mSimLines.Add(h.lines)
+	if lines > 0 {
+		mSimLines.Add(lines)
 	}
-	if h.bulk > 0 {
-		mSimBulk.Add(h.bulk)
+	if bulk > 0 {
+		mSimBulk.Add(bulk)
 	}
 }

@@ -21,15 +21,21 @@
 // allocator actually committed) so the bound and its metrics stay
 // meaningful if trace sizes ever grow.
 //
-// Both memo layers report into the default metrics registry:
+// A third, byte-bounded LRU memo holds simulation records: compact
+// summaries a simulator keeps of one replay (memsim keeps one per
+// conflict-profiling run), keyed by program plus a RecordKey, so later
+// runs under the same key can be derived instead of replayed. sim only
+// stores them; what a record holds is the simulator's business.
+//
+// The memo layers report into the default metrics registry:
 // casa_profile_memo_{hits,misses}_total, casa_stream_cache_{hits,
 // misses,evictions}_total and the casa_stream_cache_bytes gauge (the
 // stream-cache names are kept for dashboard continuity; they account
-// the trace cache now).
+// the trace cache now), and casa_sim_records_total,
+// casa_sim_record_evictions_total and the casa_sim_record_bytes gauge.
 package sim
 
 import (
-	"os"
 	"sync"
 
 	"repro/internal/fault"
@@ -181,13 +187,14 @@ func evictTracesLocked(keep *traceEntry) {
 	}
 }
 
-// Forget drops p's memoized profile and recorded trace, releasing the
-// memory they pin. The allocation server calls it when it evicts an
-// interned client program: the memo layers are keyed by *ir.Program, so
-// without an explicit release a long-running process would accumulate
-// one profile and one trace per distinct program it ever saw. An entry
-// whose computation is still in flight is left alone (its bytes are
-// accounted only on completion); a later Forget can retire it.
+// Forget drops p's memoized profile, recorded trace and simulation
+// records, releasing the memory they pin. The allocation server calls
+// it when it evicts an interned client program: the memo layers are
+// keyed by *ir.Program, so without an explicit release a long-running
+// process would accumulate one profile and one trace per distinct
+// program it ever saw. An entry whose computation is still in flight is
+// left alone (its bytes are accounted only on completion); a later
+// Forget can retire it.
 func Forget(p *ir.Program) {
 	profileMemo.Delete(p)
 	traceMu.Lock()
@@ -197,16 +204,109 @@ func Forget(p *ir.Program) {
 		mStreamBytes.Set(int64(traceBytes))
 	}
 	traceMu.Unlock()
+	recordMu.Lock()
+	for k, e := range records {
+		if k.prog == p {
+			dropRecordLocked(k, e)
+		}
+	}
+	recordMu.Unlock()
 }
 
-// StreamCacheDisabled reports whether CASA_STREAM_CACHE requests the
-// memoized trace path off ("0", "off" or "false"); the simulator then
-// re-executes programs for every run (still at line granularity — only
-// the execute-once memoization is bypassed).
-func StreamCacheDisabled() bool {
-	switch os.Getenv("CASA_STREAM_CACHE") {
-	case "0", "off", "false":
-		return true
+// ---- Simulation-record memoization -------------------------------------------
+
+// A Record is a compact summary a simulator keeps of one replay so that
+// later runs under the same key can be derived from it instead of
+// replayed (memsim keeps one per conflict-profiling run). Records are
+// immutable once stored.
+type Record interface {
+	// SizeBytes is the memory the record holds, charged to the budget.
+	SizeBytes() int
+}
+
+// RecordKey identifies a record of one program: Image fingerprints the
+// main-memory code image the replay ran under and Cache the cache
+// configuration.
+type RecordKey struct {
+	Image, Cache uint64
+}
+
+// recordCacheCapBytes bounds the total bytes retained across records,
+// the way traceCacheCapBytes bounds traces. Variable for tests.
+var recordCacheCapBytes = 64 << 20
+
+type recordMemoKey struct {
+	prog *ir.Program
+	RecordKey
+}
+
+type recordEntry struct {
+	r       Record
+	lastUse int64
+}
+
+var (
+	mRecords      = obs.GetCounter("casa_sim_records_total")
+	mRecordEvicts = obs.GetCounter("casa_sim_record_evictions_total")
+	mRecordBytes  = obs.GetGauge("casa_sim_record_bytes")
+	recordMu      sync.Mutex
+	records       = map[recordMemoKey]*recordEntry{}
+	recordTick    int64
+	recordBytes   int
+)
+
+// CachedRecord returns the record stored for p under k, or nil. An
+// injected memo miss (fault.MemoMiss) reports nil without looking.
+func CachedRecord(p *ir.Program, k RecordKey) Record {
+	if fault.Hit(fault.MemoMiss) {
+		return nil
 	}
-	return false
+	recordMu.Lock()
+	defer recordMu.Unlock()
+	e, ok := records[recordMemoKey{p, k}]
+	if !ok {
+		return nil
+	}
+	recordTick++
+	e.lastUse = recordTick
+	return e.r
+}
+
+// StoreRecord memoizes r for p under k, replacing any record already
+// there, and evicts least-recently-used records until the byte budget
+// holds again (r itself is never evicted by its own insertion).
+func StoreRecord(p *ir.Program, k RecordKey, r Record) {
+	mk := recordMemoKey{p, k}
+	recordMu.Lock()
+	defer recordMu.Unlock()
+	if old, ok := records[mk]; ok {
+		recordBytes -= old.r.SizeBytes()
+	}
+	recordTick++
+	e := &recordEntry{r: r, lastUse: recordTick}
+	records[mk] = e
+	recordBytes += r.SizeBytes()
+	mRecords.Inc()
+	for recordBytes > recordCacheCapBytes {
+		var oldKey recordMemoKey
+		var old *recordEntry
+		for k, c := range records {
+			if c != e && (old == nil || c.lastUse < old.lastUse) {
+				oldKey, old = k, c
+			}
+		}
+		if old == nil {
+			break
+		}
+		dropRecordLocked(oldKey, old)
+		mRecordEvicts.Inc()
+	}
+	mRecordBytes.Set(int64(recordBytes))
+}
+
+// dropRecordLocked removes one record. Call with recordMu held.
+func dropRecordLocked(k recordMemoKey, e *recordEntry) {
+	recordBytes -= e.r.SizeBytes()
+	delete(records, k)
+	mRecordBytes.Set(int64(recordBytes))
 }

@@ -256,9 +256,9 @@ func TestTraceCacheEviction(t *testing.T) {
 	// half the tiny budget, so the third insert must evict the
 	// least-recently-used entry.
 	progs := []*ir.Program{
-		irregularProgram(t, 20),
-		irregularProgram(t, 21),
-		irregularProgram(t, 22),
+		irregularProgram(t, 30),
+		irregularProgram(t, 31),
+		irregularProgram(t, 32),
 	}
 	evictsBefore := mStreamEvicts.Value()
 	var first *Trace
@@ -353,6 +353,65 @@ func TestTraceCacheBytesGauge(t *testing.T) {
 	}
 	if g := mStreamBytes.Value(); g != int64(got) {
 		t.Errorf("casa_stream_cache_bytes gauge %d != accounted bytes %d", g, got)
+	}
+}
+
+// sizedRecord is a Record of a fixed size.
+type sizedRecord int
+
+func (r sizedRecord) SizeBytes() int { return int(r) }
+
+// TestRecordMemoBudget: the record memo stays under its byte budget by
+// evicting least-recently-used records, counts each eviction, keeps
+// the gauge equal to the resident bytes, and Forget drops every record
+// of a program.
+func TestRecordMemoBudget(t *testing.T) {
+	oldCap := recordCacheCapBytes
+	recordCacheCapBytes = 1000
+	defer func() { recordCacheCapBytes = oldCap }()
+
+	p, q := loopProgram(t, 3), loopProgram(t, 4)
+	defer Forget(p)
+	defer Forget(q)
+	k := func(i uint64) RecordKey { return RecordKey{Image: i, Cache: 7} }
+	StoreRecord(p, k(1), sizedRecord(400))
+	StoreRecord(q, k(1), sizedRecord(400))
+	if CachedRecord(p, k(1)) == nil { // p's record is now the more recent
+		t.Fatal("stored record not found")
+	}
+	if CachedRecord(p, k(2)) != nil {
+		t.Fatal("record found under a key never stored")
+	}
+
+	evicts := mRecordEvicts.Value()
+	StoreRecord(p, k(2), sizedRecord(400))
+	if mRecordEvicts.Value() != evicts+1 {
+		t.Errorf("evictions counted %d, want 1", mRecordEvicts.Value()-evicts)
+	}
+	if CachedRecord(q, k(1)) != nil {
+		t.Error("least-recently-used record survived")
+	}
+	if CachedRecord(p, k(1)) == nil || CachedRecord(p, k(2)) == nil {
+		t.Error("recently used records evicted")
+	}
+	recordMu.Lock()
+	used := recordBytes
+	recordMu.Unlock()
+	if used > recordCacheCapBytes || mRecordBytes.Value() != int64(used) {
+		t.Errorf("record bytes %d (gauge %d) over the %d budget", used, mRecordBytes.Value(), recordCacheCapBytes)
+	}
+
+	// Replacing a record recharges its bytes; Forget drops them all.
+	StoreRecord(p, k(2), sizedRecord(100))
+	Forget(p)
+	if CachedRecord(p, k(1)) != nil || CachedRecord(p, k(2)) != nil {
+		t.Error("Forget left a record")
+	}
+	recordMu.Lock()
+	used = recordBytes
+	recordMu.Unlock()
+	if used != 0 {
+		t.Errorf("record bytes %d after forgetting every record", used)
 	}
 }
 

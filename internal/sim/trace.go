@@ -51,20 +51,78 @@ func unpackRef(pr uint64) ir.BlockRef {
 	return ir.BlockRef{Func: ir.FuncID(uint32(pr >> 32)), Block: ir.BlockID(uint32(pr))}
 }
 
+// step is one RLE entry while a trace is being recorded.
+type step struct {
+	ref    uint64
+	count  int64
+	instrs int32
+	kind   StepKind
+}
+
+// traceChunkSteps is the size of the largest recording chunk.
+// Recording appends into chunks and joins them once into exactly sized
+// arrays, so it allocates about twice what the finished trace keeps:
+// growing the arrays themselves would allocate several times that, as
+// Go grows large slices by 1.25x at a time.
+const traceChunkSteps = 4096
+
+// traceRecorder accumulates a trace's steps in chunks that start small
+// (most test programs record a handful of steps) and double up to
+// traceChunkSteps.
+type traceRecorder struct {
+	chunks  [][]step
+	steps   int64
+	fetches int64
+}
+
 // push appends one dynamic step, run-length-merging it into the previous
 // entry when it repeats the same block and exit kind.
-func (t *Trace) push(ref ir.BlockRef, instrs int, kind StepKind) {
-	t.steps++
-	t.fetches += int64(instrs)
+func (r *traceRecorder) push(ref ir.BlockRef, instrs int, kind StepKind) {
+	r.steps++
+	r.fetches += int64(instrs)
 	pr := packRef(ref)
-	if n := len(t.refs) - 1; n >= 0 && t.refs[n] == pr && t.kinds[n] == kind {
-		t.counts[n]++
-		return
+	cur := len(r.chunks) - 1
+	if cur >= 0 {
+		c := r.chunks[cur]
+		if n := len(c) - 1; n >= 0 && c[n].ref == pr && c[n].kind == kind {
+			c[n].count++
+			return
+		}
 	}
-	t.refs = append(t.refs, pr)
-	t.instrs = append(t.instrs, int32(instrs))
-	t.kinds = append(t.kinds, kind)
-	t.counts = append(t.counts, 1)
+	if cur < 0 || len(r.chunks[cur]) == cap(r.chunks[cur]) {
+		size := 64
+		if cur >= 0 {
+			size = min(2*cap(r.chunks[cur]), traceChunkSteps)
+		}
+		r.chunks = append(r.chunks, make([]step, 0, size))
+		cur++
+	}
+	r.chunks[cur] = append(r.chunks[cur], step{ref: pr, count: 1, instrs: int32(instrs), kind: kind})
+}
+
+// trace joins the chunks into an exactly sized Trace.
+func (r *traceRecorder) trace() *Trace {
+	n := 0
+	for _, c := range r.chunks {
+		n += len(c)
+	}
+	t := &Trace{
+		refs:    make([]uint64, 0, n),
+		instrs:  make([]int32, 0, n),
+		kinds:   make([]StepKind, 0, n),
+		counts:  make([]int64, 0, n),
+		steps:   r.steps,
+		fetches: r.fetches,
+	}
+	for _, c := range r.chunks {
+		for _, s := range c {
+			t.refs = append(t.refs, s.ref)
+			t.instrs = append(t.instrs, s.instrs)
+			t.kinds = append(t.kinds, s.kind)
+			t.counts = append(t.counts, s.count)
+		}
+	}
+	return t
 }
 
 // NumSteps returns the number of RLE entries.
@@ -92,18 +150,18 @@ func (t *Trace) SizeBytes() int {
 
 // RecordTrace executes p once and records its dynamic block sequence.
 func RecordTrace(p *ir.Program, opts ...Option) (*Trace, error) {
-	t := &Trace{}
+	var r traceRecorder
 	e := newExec(p, opts)
 	err := e.run(
 		func(ir.BlockRef, int) {},
 		nil,
 		nil,
-		t.push,
+		r.push,
 	)
 	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	return r.trace(), nil
 }
 
 // Replay decodes the trace under lay, delivering the exact fetch stream
